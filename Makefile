@@ -32,8 +32,9 @@ race:
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x .
 
-# Batched-sampling comparison in benchstat-friendly form: pipe the output
-# of two runs (before/after) into benchstat to quantify the fast path.
+# Batched-sampling cost in benchstat-friendly form (RS-tree NextBatch
+# with and without replacement, plus the warmed 0-allocs steady state):
+# pipe the output of two runs (before/after a change) into benchstat.
 bench-batch:
 	$(GO) test -run NONE -bench 'BenchmarkBatchedSampling' -benchtime 500x -count 5 -benchmem .
 

@@ -62,15 +62,16 @@ func fixture(b *testing.B) {
 	})
 }
 
-// drawN pulls b.N samples from a sampler factory, restarting the stream
-// whenever it is exhausted (so b.N can exceed q).
+// drawN pulls b.N samples one at a time from a sampler factory,
+// restarting the stream whenever it is exhausted (so b.N can exceed q).
 func drawN(b *testing.B, mk func(seed int64) sampling.Sampler) {
 	b.Helper()
 	seed := int64(1)
 	s := mk(seed)
+	one := make([]data.Entry, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.Next(); !ok {
+		if s.NextBatch(one, 1) == 0 {
 			seed++
 			s = mk(seed)
 			i--
@@ -159,13 +160,12 @@ func batchedFix(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchedSampling is the headline comparison for the batched
-// read path: k=2000 RS-tree samples per iteration, drawn one Next at a
-// time versus one NextBatch call. Both produce the identical stream; the
-// batch path amortizes device-lock rounds and scratch allocations.
-// WithReplacement is the charge-dominated regime (every draw descends the
-// tree, charging each level); WithoutReplacement mixes draw charges with
-// materialization scans that both paths share.
+// BenchmarkBatchedSampling measures the batched read path: k=2000 RS-tree
+// samples per iteration in one NextBatch call, with each query's charges
+// attributed through its own Counter. WithReplacement is the
+// charge-dominated regime (every draw descends the tree, charging each
+// level); WithoutReplacement mixes draw charges with materialization
+// scans.
 func BenchmarkBatchedSampling(b *testing.B) {
 	const k = 2000
 	batchedFix(b)
@@ -173,34 +173,21 @@ func BenchmarkBatchedSampling(b *testing.B) {
 
 	run := func(mode sampling.Mode) func(b *testing.B) {
 		return func(b *testing.B) {
-			b.Run("Next", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					s := batchedRS.Sampler(fixQuery, mode, stats.NewRNG(int64(i)+1))
-					s.AttributeIO(iosim.NewCounter(batchedDev))
-					for j := 0; j < k; j++ {
-						if _, ok := s.Next(); !ok {
-							b.Fatal("exhausted")
-						}
-					}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := batchedRS.Sampler(fixQuery, mode, stats.NewRNG(int64(i)+1))
+				s.AttributeIO(iosim.NewCounter(batchedDev))
+				if got := s.NextBatch(buf, k); got != k {
+					b.Fatal("exhausted")
 				}
-			})
-			b.Run("NextBatch", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					s := batchedRS.Sampler(fixQuery, mode, stats.NewRNG(int64(i)+1))
-					s.AttributeIO(iosim.NewCounter(batchedDev))
-					if got := s.NextBatch(buf, k); got != k {
-						b.Fatal("exhausted")
-					}
-				}
-			})
+			}
 		}
 	}
 	b.Run("WithReplacement", run(sampling.WithReplacement))
 	b.Run("WithoutReplacement", run(sampling.WithoutReplacement))
 	// Steady state: a warmed with-replacement sampler re-batching from
-	// published buffers — the allocation-free hot loop (0 allocs/op).
+	// published buffers — the allocation-free hot loop (0 allocs/op, gated
+	// by rstree's TestNextBatchSteadyStateAllocs).
 	b.Run("SteadyState", func(b *testing.B) {
 		s := batchedRS.Sampler(fixQuery, sampling.WithReplacement, stats.NewRNG(1))
 		s.AttributeIO(iosim.NewCounter(batchedDev))

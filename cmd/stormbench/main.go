@@ -370,14 +370,12 @@ func a4(seed int64) error {
 	if err != nil {
 		return err
 	}
-	rows := [][]string{{"shards", "serial ms", "batch ms", "serial msgs", "batch msgs", "max shard share"}}
+	rows := [][]string{{"shards", "batch ms", "batch msgs", "max shard share"}}
 	for _, p := range pts {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p.Shards),
 			fmt.Sprintf("%.2f", p.WallMS),
-			fmt.Sprintf("%.2f", p.WallBatchMS),
 			fmt.Sprintf("%d", p.Messages),
-			fmt.Sprintf("%d", p.BatchMessages),
 			fmt.Sprintf("%.2f", p.MaxShardShare),
 		})
 	}

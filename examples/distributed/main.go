@@ -1,7 +1,7 @@
 // Distributed: STORM on a (simulated) cluster of commodity machines. The
 // dataset is Hilbert-partitioned across shards, each with a local RS-tree;
 // a coordinator draws uniform samples across shards weighted by per-shard
-// matching counts and merges per-shard partial estimates — the deployment
+// matching counts and folds them into one online estimate — the deployment
 // the paper describes over a DFS.
 package main
 
@@ -39,13 +39,5 @@ func main() {
 		net := cluster.Net()
 		fmt.Printf("  coordinator online AVG: %s\n", est)
 		fmt.Printf("  network: %d messages, %d samples moved\n", net.Messages, net.SamplesMoved)
-
-		// Scatter/gather alternative: shards compute partial estimates in
-		// parallel, coordinator merges Welford accumulators.
-		merged, err := cluster.ParallelPartialAvg(q, "altitude", 2000)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  merged parallel partials: mean %.2f over %d samples\n", merged.Mean(), merged.N())
 	}
 }

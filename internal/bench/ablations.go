@@ -66,6 +66,7 @@ func A1(cfg A1Config) ([]A1Point, error) {
 	q := queryFor(ds, cfg.QFrac).Rect()
 	entries := ds.Entries()
 	basePages := cfg.N / cfg.Fanout * 2
+	buf := make([]data.Entry, cfg.K)
 
 	var out []A1Point
 	for _, frac := range cfg.PoolFracs {
@@ -79,11 +80,7 @@ func A1(cfg A1Config) ([]A1Point, error) {
 		devRS.DropCache()
 		devRS.ResetStats()
 		s := rsIdx.Sampler(q, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed))
-		for i := 0; i < cfg.K; i++ {
-			if _, ok := s.Next(); !ok {
-				break
-			}
-		}
+		s.NextBatch(buf, cfg.K)
 		record("a1", "RS-tree", s, devRS)
 		st := devRS.Stats()
 		out = append(out, A1Point{Method: "RS-tree", PoolFrac: frac, Reads: st.Reads,
@@ -94,11 +91,7 @@ func A1(cfg A1Config) ([]A1Point, error) {
 		devRP.DropCache()
 		devRP.ResetStats()
 		rp := sampling.NewRandomPath(plain, q, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed))
-		for i := 0; i < cfg.K; i++ {
-			if _, ok := rp.Next(); !ok {
-				break
-			}
-		}
+		rp.NextBatch(buf, cfg.K)
 		record("a1", "RandomPath", rp, devRP)
 		st = devRP.Stats()
 		out = append(out, A1Point{Method: "RandomPath", PoolFrac: frac, Reads: st.Reads,
@@ -172,6 +165,7 @@ func A2(cfg A2Config) ([]A2Point, error) {
 	if pool < 8 {
 		pool = 8
 	}
+	buf := make([]data.Entry, cfg.K)
 	var out []A2Point
 	for _, bufSize := range cfg.BufSizes {
 		dev := newDevice(pool)
@@ -184,13 +178,7 @@ func A2(cfg A2Config) ([]A2Point, error) {
 		dev.ResetStats()
 		s := idx.Sampler(q, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed))
 		start := time.Now()
-		got := 0
-		for got < cfg.K {
-			if _, ok := s.Next(); !ok {
-				break
-			}
-			got++
-		}
+		got := s.NextBatch(buf, cfg.K)
 		elapsed := time.Since(start)
 		record("a2", "RS-tree", s, dev)
 		st := dev.Stats()
@@ -290,14 +278,11 @@ func A3(cfg A3Config) ([]A3Result, error) {
 		for _, e := range victims {
 			deleted[e.ID] = true
 		}
-		s := sample()
+		buf := make([]data.Entry, 20_000)
+		n := sample().NextBatch(buf, len(buf))
 		sawFresh := false
 		ok := true
-		for i := 0; i < 20_000; i++ {
-			e, more := s.Next()
-			if !more {
-				break
-			}
+		for _, e := range buf[:n] {
 			if e.ID >= data.ID(cfg.N) {
 				sawFresh = true
 			}
@@ -559,14 +544,11 @@ func (c A4Config) withDefaults() A4Config {
 // A4Point is one shard-count measurement.
 type A4Point struct {
 	Shards int
-	// WallMS is the serial coordinator (Next per sample, per-refill shard
-	// fetches); WallBatchMS pulls the same K through NextBatch's one
+	// WallMS is the time to pull K samples in one NextBatch call: one
 	// demand-sized request per shard per round.
-	WallMS      float64
-	WallBatchMS float64
-	// Messages/BatchMessages are the network messages each protocol sent.
-	Messages      uint64
-	BatchMessages uint64
+	WallMS float64
+	// Messages is the network messages the pull sent.
+	Messages uint64
 	// MaxShardShare is the largest fraction of samples served by one
 	// shard — balance for a query spanning the whole space.
 	MaxShardShare float64
@@ -579,6 +561,7 @@ func A4(cfg A4Config) ([]A4Point, error) {
 	cfg = cfg.withDefaults()
 	ds := osmData(cfg.N, cfg.Seed)
 	q := queryFor(ds, 0.2).Rect()
+	buf := make([]data.Entry, cfg.K)
 
 	var out []A4Point
 	for _, shards := range cfg.Shards {
@@ -589,24 +572,8 @@ func A4(cfg A4Config) ([]A4Point, error) {
 		c.ResetNet()
 		s := c.Sampler(q)
 		start := time.Now()
-		for i := 0; i < cfg.K; i++ {
-			if _, ok := s.Next(); !ok {
-				break
-			}
-		}
+		s.NextBatch(buf, cfg.K)
 		elapsed := time.Since(start)
-
-		// Same pull through the batched protocol on an identical cluster.
-		cb, err := distr.Build(ds, distr.Config{Shards: shards, Seed: cfg.Seed, Obs: Obs})
-		if err != nil {
-			return nil, err
-		}
-		cb.ResetNet()
-		sb := cb.Sampler(q)
-		batchBuf := make([]data.Entry, cfg.K)
-		startB := time.Now()
-		sb.NextBatch(batchBuf, cfg.K)
-		elapsedB := time.Since(startB)
 		// Partition balance: the Hilbert split should keep shard record
 		// shares near 1/shards.
 		total := 0
@@ -623,9 +590,7 @@ func A4(cfg A4Config) ([]A4Point, error) {
 		out = append(out, A4Point{
 			Shards:        shards,
 			WallMS:        float64(elapsed.Microseconds()) / 1000,
-			WallBatchMS:   float64(elapsedB.Microseconds()) / 1000,
 			Messages:      c.Net().Messages,
-			BatchMessages: cb.Net().Messages,
 			MaxShardShare: maxShare,
 		})
 	}

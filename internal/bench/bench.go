@@ -16,6 +16,7 @@ import (
 	"storm/internal/geo"
 	"storm/internal/iosim"
 	"storm/internal/rtree"
+	"storm/internal/sampling"
 )
 
 // slcRegion is the Salt Lake City zoom-in used by several experiments.
@@ -77,6 +78,21 @@ func mustPlainTree(entries []data.Entry, fanout int, dev iosim.Accountant) *rtre
 	t := rtree.MustNew(rtree.Config{Fanout: fanout, Device: dev})
 	t.BulkLoad(entries)
 	return t
+}
+
+// drawTo extends a stream that has produced k samples to cp samples in one
+// pull, folding each new sample into add. It returns the new sample count,
+// which is below cp only when the stream ran out.
+func drawTo(s sampling.Sampler, k, cp int, add func(data.Entry)) int {
+	if cp <= k {
+		return k
+	}
+	buf := make([]data.Entry, cp-k)
+	n := s.NextBatch(buf, len(buf))
+	for _, e := range buf[:n] {
+		add(e)
+	}
+	return k + n
 }
 
 // trueAvg computes the exact average of a column over a range.

@@ -150,14 +150,9 @@ func Fig3a(cfg Fig3aConfig) ([]Fig3aPoint, error) {
 			m.dev.DropCache()
 			m.dev.ResetStats()
 			s := m.mk(cfg.Seed + int64(k))
+			buf := make([]data.Entry, k)
 			start := time.Now()
-			got := 0
-			for got < k {
-				if _, ok := s.Next(); !ok {
-					break
-				}
-				got++
-			}
+			got := s.NextBatch(buf, k)
 			elapsed := time.Since(start)
 			record("fig3a", m.name, s, m.dev)
 			st := m.dev.Stats()
@@ -269,21 +264,14 @@ func Fig3b(cfg Fig3bConfig) ([]Fig3bPoint, error) {
 			s := m.mk(cfg.Seed + int64(trial)*1009)
 			var acc float64
 			k := 0
-			ci := 0
 			start := time.Now()
-			for ci < len(cfg.Checkpoints) {
-				e, ok := s.Next()
-				if !ok {
+			for ci, cp := range cfg.Checkpoints {
+				if k = drawTo(s, k, cp, func(e data.Entry) { acc += col[e.ID] }); k < cp {
 					break
 				}
-				acc += col[e.ID]
-				k++
-				if k == cfg.Checkpoints[ci] {
-					est := acc / float64(k)
-					sumErr[ci] += abs(est-truth) / abs(truth)
-					sumMS[ci] += float64(time.Since(start).Microseconds()) / 1000
-					ci++
-				}
+				est := acc / float64(k)
+				sumErr[ci] += abs(est-truth) / abs(truth)
+				sumMS[ci] += float64(time.Since(start).Microseconds()) / 1000
 			}
 			record("fig3b", m.name, s, nil)
 		}

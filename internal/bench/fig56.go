@@ -95,22 +95,15 @@ func Fig5(cfg Fig5Config) ([]Fig5Point, error) {
 		}
 		s := idx.Sampler(rect, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed+99))
 		k := 0
-		ci := 0
-		for ci < len(cfg.Checkpoints) {
-			e, ok := s.Next()
-			if !ok {
+		for _, cp := range cfg.Checkpoints {
+			if k = drawTo(s, k, cp, func(e data.Entry) { online.Add(e.Pos) }); k < cp {
 				break
 			}
-			online.Add(e.Pos)
-			k++
-			if k == cfg.Checkpoints[ci] {
-				out = append(out, Fig5Point{
-					Region:  reg.name,
-					Samples: k,
-					RelErr:  online.Snapshot().RelError(ref),
-				})
-				ci++
-			}
+			out = append(out, Fig5Point{
+				Region:  reg.name,
+				Samples: k,
+				RelErr:  online.Snapshot().RelError(ref),
+			})
 		}
 	}
 	return out, nil
@@ -186,7 +179,7 @@ func Fig6a(cfg Fig6aConfig) ([]Fig6aPoint, string, error) {
 	accepted := 0
 	ci := 0
 	for ci < len(cfg.Checkpoints) && cfg.Checkpoints[ci] <= best {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			break
 		}
@@ -297,23 +290,16 @@ func Fig6b(cfg Fig6bConfig) (*Fig6bResult, error) {
 	s := idx.Sampler(rect, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed+13))
 	res := &Fig6bResult{}
 	k := 0
-	ci := 0
-	for ci < len(cfg.Checkpoints) {
-		e, ok := s.Next()
-		if !ok {
+	for _, cp := range cfg.Checkpoints {
+		if k = drawTo(s, k, cp, func(e data.Entry) { online.Add(texts[e.ID]) }); k < cp {
 			break
 		}
-		online.Add(texts[e.ID])
-		k++
-		if k == cfg.Checkpoints[ci] {
-			snap := online.Snapshot(cfg.TopK)
-			res.Points = append(res.Points, Fig6bPoint{
-				Samples:   k,
-				Recall:    analytics.TopTermRecall(snap, ref),
-				Sentiment: snap.Sentiment,
-			})
-			ci++
-		}
+		snap := online.Snapshot(cfg.TopK)
+		res.Points = append(res.Points, Fig6bPoint{
+			Samples:   k,
+			Recall:    analytics.TopTermRecall(snap, ref),
+			Sentiment: snap.Sentiment,
+		})
 	}
 	final := online.Snapshot(cfg.TopK)
 	for _, t := range final.Top {

@@ -8,38 +8,43 @@ import (
 	"storm/internal/distr/distrtest"
 	"storm/internal/gen"
 	"storm/internal/geo"
+	"storm/internal/iosim"
+	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 )
 
-// TestNextBatchMatchesNext checks the coordinator's batched protocol emits
-// the byte-identical sample stream as repeated Next for the same seeds,
-// across shard counts and batch-size patterns.
+// TestNextBatchMatchesNext checks the coordinator's stream does not depend
+// on how the pulls are chunked — one sample at a time (sampling.Next) or in
+// any mix of sizes — across shard counts, over the loopback transport and
+// over real TCP shard hosts.
 func TestNextBatchMatchesNext(t *testing.T) {
 	ds := distrtest.Dataset(6000)
 	q := distrtest.Query()
 	for _, shards := range []int{1, 3, 8} {
-		for _, sizes := range [][]int{{1}, {17}, {500}, {2, 99, 5}} {
-			a := distrtest.Build(t, ds, distr.Config{Shards: shards, Seed: 5})
-			b := distrtest.Build(t, ds, distr.Config{Shards: shards, Seed: 5})
-			serial := distrtest.DrainSerial(a.Sampler(q))
-			batched := distrtest.DrainBatched(b.Sampler(q), sizes)
-			distrtest.SameEntries(t, serial, batched, "drain")
-		}
+		loop := samplingtest.CheckChunkInvariance(t, "loopback", 0, func() (sampling.Sampler, *iosim.Device) {
+			return distrtest.Build(t, ds, distr.Config{Shards: shards, Seed: 5}).Sampler(q), nil
+		})
+		tcp := samplingtest.CheckChunkInvariance(t, "tcp", 0, func() (sampling.Sampler, *iosim.Device) {
+			return distrtest.BuildTCP(t, ds, distr.Config{Shards: shards, Seed: 5}, 2).Sampler(q), nil
+		})
+		distrtest.SameEntries(t, loop, tcp, "loopback vs tcp")
 	}
 }
 
-// TestNextBatchInterleavedWithNext alternates the two pull styles on one
-// sampler against a fully serial twin.
+// TestNextBatchInterleavedWithNext alternates single-sample pulls
+// (sampling.Next) and full batches on one coordinator sampler against a
+// one-at-a-time twin.
 func TestNextBatchInterleavedWithNext(t *testing.T) {
 	ds := gen.Uniform(5000, 7, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100})
 	q := distrtest.Query()
 	a := distrtest.Build(t, ds, distr.Config{Shards: 4, Seed: 9})
 	b := distrtest.Build(t, ds, distr.Config{Shards: 4, Seed: 9})
-	serial := distrtest.DrainSerial(a.Sampler(q))
+	serial := samplingtest.Drain(a.Sampler(q), []int{1}, 0)
 	s := b.Sampler(q)
 	var mixed []data.Entry
 	buf := make([]data.Entry, 64)
 	for {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			break
 		}
@@ -54,16 +59,17 @@ func TestNextBatchInterleavedWithNext(t *testing.T) {
 }
 
 // TestNextBatchFewerMessages checks the point of the batched protocol: one
-// demand-sized request per shard per round instead of per-refill trips.
+// demand-sized request per shard per round, so one large pull sends far
+// fewer messages than the same samples pulled one at a time.
 func TestNextBatchFewerMessages(t *testing.T) {
 	ds := gen.Uniform(20000, 3, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100})
 	q := distrtest.Query()
-	serialC := distrtest.Build(t, ds, distr.Config{Shards: 8, Seed: 1, BatchSize: 32})
-	batchC := distrtest.Build(t, ds, distr.Config{Shards: 8, Seed: 1, BatchSize: 32})
+	serialC := distrtest.Build(t, ds, distr.Config{Shards: 8, Seed: 1})
+	batchC := distrtest.Build(t, ds, distr.Config{Shards: 8, Seed: 1})
 
 	s := serialC.Sampler(q)
 	for i := 0; i < 4000; i++ {
-		if _, ok := s.Next(); !ok {
+		if _, ok := sampling.Next(s); !ok {
 			break
 		}
 	}

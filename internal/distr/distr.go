@@ -22,8 +22,8 @@
 //
 // The coordinator fans shard work out in parallel: Count and a Sampler's
 // initialization round contact every shard concurrently, as a real
-// coordinator would. Any number of queries (Count, Samplers, EstimateAvg,
-// ParallelPartialAvg) may run concurrently; Insert and Delete take each
+// coordinator would. Any number of queries (Count, Samplers, EstimateAvg)
+// may run concurrently; Insert and Delete take each
 // shard's write lock and so serialize against in-flight rounds on that
 // shard only. A long-lived Sampler that straddles an update may mix pre-
 // and post-update state across batches (each batch is internally
@@ -68,9 +68,6 @@ type Config struct {
 	Replicas int
 	// Fanout is each shard's RS-tree fanout; 0 means the default.
 	Fanout int
-	// BatchSize is how many samples a shard ships per network message;
-	// 0 means 32.
-	BatchSize int
 	// Seed drives partitioning and sampling randomness.
 	Seed int64
 	// BufferPoolPages gives each shard a simulated buffer pool of this
@@ -109,12 +106,6 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.Replicas < 1 {
 		return fmt.Errorf("distr: replica count %d invalid", cfg.Replicas)
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 32
-	}
-	if cfg.BatchSize < 1 {
-		return fmt.Errorf("distr: batch size %d invalid", cfg.BatchSize)
 	}
 	if cfg.FetchTimeout == 0 {
 		cfg.FetchTimeout = 50 * time.Millisecond
@@ -189,11 +180,6 @@ type Cluster struct {
 	// Remote replica sets may be shorter than cfg.Replicas when the host
 	// pool is smaller — size per-shard loops by len(repl[i]).
 	repl [][]ShardClient
-	// raw is the primary clients without fault decoration. The
-	// scatter/gather partial path uses it: shard-local work there models
-	// computation on the shard itself, not coordinator round trips, so
-	// injected fetch faults must not perturb it (or its RNG draws).
-	raw []ShardClient
 	// mirrorMisses[i][r] counts update mirrors (inserts/deletes) that
 	// replica r of shard i failed to apply; a failover onto a replica
 	// with misses is counted as a stale read.
@@ -401,8 +387,8 @@ func Build(ds *data.Dataset, cfg Config) (*Cluster, error) {
 	for s, part := range parts {
 		// Each replica is an exact clone: same partition, same build seed,
 		// so the copies hold identical trees and any of them can serve any
-		// stream. Shards() and the scatter/gather raw path see only the
-		// primaries; updates mirror to every copy (Insert/Delete).
+		// stream. Shards() sees only the primaries; updates mirror to every
+		// copy (Insert/Delete).
 		reps := make([]ShardClient, 0, cfg.Replicas)
 		for r := 0; r < cfg.Replicas; r++ {
 			sh, err := buildShard(ds, part, s, bounds, cfg)
@@ -414,7 +400,6 @@ func Build(ds *data.Dataset, cfg Config) (*Cluster, error) {
 			if r == 0 {
 				c.shards = append(c.shards, sh)
 				c.backends = append(c.backends, b)
-				c.raw = append(c.raw, cl)
 			}
 			if c.faults != nil {
 				cl = &faultClient{ShardClient: cl, c: c, f: c.faults[s][r]}
@@ -867,55 +852,16 @@ func (s *Sampler) pop(shard int) data.Entry {
 	return e
 }
 
-// Next implements sampling.Sampler: it draws the owning shard with
-// probability proportional to its remaining matching count, then consumes
-// the next sample from that shard's stream (fetched in batches to amortize
-// network messages).
-func (s *Sampler) Next() (data.Entry, bool) {
-	if !s.init {
-		s.initialize()
-	}
-	s.maybeReadmit()
-	if s.total <= 0 {
-		return data.Entry{}, false
-	}
-	r := s.rng.Intn(s.total)
-	shard := 0
-	for i, rem := range s.remaining {
-		if r < rem {
-			shard = i
-			break
-		}
-		r -= rem
-	}
-	if s.buffered(shard) == 0 {
-		s.fetchInto(shard, s.cluster.cfg.BatchSize)
-		if s.buffered(shard) == 0 {
-			if s.deadlineHit {
-				// The fetch was abandoned at the deadline, not refused by
-				// the shard: stop the stream without writing the (likely
-				// healthy, still-reachable) shard off.
-				return data.Entry{}, false
-			}
-			// Shard believed to have samples but returned none:
-			// defensive consistency repair.
-			s.total -= s.remaining[shard]
-			s.remaining[shard] = 0
-			return s.Next()
-		}
-	}
-	return s.pop(shard), true
-}
-
-// NextBatch implements sampling.BatchSampler with the coordinator's
-// batched protocol: the round's shard choices are simulated up front with
-// the query RNG (consuming it exactly as repeated Next would, so the
-// emitted stream is byte-identical), the resulting per-shard allocations
-// are fetched with ONE request per shard — sized by the round's demand
-// rather than the fixed BatchSize — and the round is assembled from the
-// buffered shard streams in choice order. k samples therefore cost at most
-// one message round trip per participating shard instead of the serial
-// path's per-refill trips.
+// NextBatch implements sampling.Sampler with the coordinator's batched
+// protocol: each sample's owning shard is drawn with probability
+// proportional to its remaining matching count, the round's choices are
+// simulated up front with the query RNG, the resulting per-shard
+// allocations are fetched with ONE demand-sized request per shard, and the
+// round is assembled from the buffered shard streams in choice order. The
+// choices consume the RNG one draw per sample whatever the round size, and
+// each shard stream is itself chunk-invariant, so the emitted stream does
+// not depend on k; k samples cost at most one message round trip per
+// participating shard.
 func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 	if k > len(dst) {
 		k = len(dst)
@@ -974,7 +920,7 @@ func (s *Sampler) batchRound(dst []data.Entry, k int) int {
 	}
 	choices := s.choices[:m]
 
-	// Phase 1: replay the serial draw sequence against scratch counts.
+	// Phase 1: draw the round's shard choices against scratch counts.
 	total := s.total
 	for j := 0; j < m; j++ {
 		r := s.rng.Intn(total)
@@ -1000,10 +946,9 @@ func (s *Sampler) batchRound(dst []data.Entry, k int) int {
 	}
 
 	// Phase 3: assemble in choice order. A shard that under-delivered
-	// (bookkeeping said it had samples but it returned none — the serial
-	// path's defensive repair case) is zeroed out and its remaining
-	// choices skipped; only in that never-expected state can the stream
-	// diverge from the serial one.
+	// (bookkeeping said it had samples but it returned none) is zeroed out
+	// and its remaining choices skipped; only in that never-expected
+	// state can the stream depend on the round size.
 	got := 0
 	for _, shard := range choices {
 		if s.remaining[shard] <= 0 {
@@ -1400,9 +1345,8 @@ func (c *Cluster) EstimateAvg(q geo.Rect, attr string, maxSamples int, confidenc
 	}
 	s := c.Sampler(q)
 	defer s.Close()
-	// Pull through the batched coordinator protocol: one demand-sized
-	// request per shard per round instead of per-refill round trips. The
-	// chunk bounds the coordinator's working memory, not the batching win.
+	// Each pull costs one demand-sized request per shard; the chunk bounds
+	// the coordinator's working memory, not the batching win.
 	const chunk = 1024
 	buf := make([]data.Entry, chunk)
 	for drawn := 0; drawn < maxSamples; {
@@ -1428,71 +1372,4 @@ func (c *Cluster) EstimateAvg(q geo.Rect, attr string, maxSamples int, confidenc
 		}
 	}
 	return est.Snapshot(), nil
-}
-
-// ParallelPartialAvg demonstrates the scatter/gather alternative: every
-// shard draws its own local sample of size proportional to its matching
-// count, computes a partial Welford accumulator in parallel, and the
-// coordinator merges them. The merged mean is an unbiased estimate of the
-// population mean because shard sample sizes are proportional to shard
-// populations (self-weighting allocation). Shard-local work goes through
-// the undecorated clients: it models computation on the shard, not
-// coordinator fetch round trips, so injected fetch faults do not apply.
-func (c *Cluster) ParallelPartialAvg(q geo.Rect, attr string, totalSamples int) (estimator.Welford, error) {
-	col, err := c.ds.NumericColumn(attr)
-	if err != nil {
-		return estimator.Welford{}, err
-	}
-	start := time.Now()
-	defer observeMS(c.met.fanoutMS, start)
-	counts := make([]int, len(c.raw))
-	total := 0
-	for i, cl := range c.raw {
-		n, err := cl.Count(q, nil, wire.Window{})
-		if err != nil {
-			n = 0
-		}
-		counts[i] = n
-		total += n
-	}
-	c.charge(2*uint64(len(c.raw)), 0)
-	if total == 0 {
-		return estimator.Welford{}, nil
-	}
-
-	partials := make([]estimator.Welford, len(c.raw))
-	var wg sync.WaitGroup
-	for i := range c.raw {
-		if counts[i] == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, stream uint64, seed int64) {
-			defer wg.Done()
-			k := totalSamples * counts[i] / total
-			if k < 1 {
-				k = 1
-			}
-			if _, err := c.raw[i].Open(stream, q, seed, nil, nil, wire.Window{}); err != nil {
-				return
-			}
-			local := make([]data.Entry, k)
-			got, err := c.raw[i].Fetch(stream, local, k)
-			_ = c.raw[i].CloseStream(stream)
-			if err != nil {
-				return
-			}
-			for _, e := range local[:got] {
-				partials[i].Add(col[e.ID])
-			}
-		}(i, c.streamSeq.Add(1), c.nextSeed())
-	}
-	wg.Wait()
-	c.charge(2*uint64(len(c.raw)), uint64(0))
-
-	var merged estimator.Welford
-	for i := range partials {
-		merged.Merge(partials[i])
-	}
-	return merged, nil
 }

@@ -17,6 +17,7 @@ import (
 	"storm/internal/distr"
 	"storm/internal/gen"
 	"storm/internal/geo"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/wire"
 )
 
@@ -85,31 +86,10 @@ func BuildTCP(t testing.TB, ds *data.Dataset, cfg distr.Config, hosts int) *dist
 	return c
 }
 
-// DrainSerial pulls every sample one at a time until the stream ends.
-func DrainSerial(s *distr.Sampler) []data.Entry {
-	var out []data.Entry
-	for {
-		e, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, e)
-	}
-}
-
 // DrainBatched pulls with NextBatch using the cyclic size pattern,
 // stopping at the first short round.
 func DrainBatched(s *distr.Sampler, sizes []int) []data.Entry {
-	var out []data.Entry
-	for i := 0; ; i++ {
-		k := sizes[i%len(sizes)]
-		buf := make([]data.Entry, k)
-		n := s.NextBatch(buf, k)
-		out = append(out, buf[:n]...)
-		if n < k {
-			return out
-		}
-	}
+	return samplingtest.Drain(s, sizes, 0)
 }
 
 // SameEntries fails the test unless the two drains are byte-identical:

@@ -65,8 +65,8 @@ func (h *Handle) sampleLoop(ctx context.Context, q geo.Rect, opts AnalyticOption
 		deadline = start.Add(opts.TimeBudget)
 	}
 	// Samples are pulled in adaptive batches (see batch.go) and consumed
-	// with the serial loop's per-sample checks, so report cadence and
-	// stopping points are unchanged.
+	// with per-sample checks, so report cadence and stopping points do not
+	// depend on the pull size.
 	bufp := getEntryBuf()
 	defer putEntryBuf(bufp)
 	buf := *bufp

@@ -11,15 +11,32 @@ import (
 	"storm/internal/obs"
 )
 
+// TestQueryMetricsPopulated runs one query per sampling method, each on a
+// fresh engine, and checks the query, sampler and dataset metrics it must
+// leave behind — samples.drawn included, which every method's sampler
+// counters (or, lacking them, the pulled batch sizes) must feed.
 func TestQueryMetricsPopulated(t *testing.T) {
-	e, h := buildHandle(t, 20_000, false)
+	methods := []Method{Auto, MethodRSTree, MethodLSTree, MethodRandomPath,
+		MethodQueryFirst, MethodSampleFirst, MethodDistributed}
+	for _, m := range methods {
+		t.Run(m.String(), func(t *testing.T) { checkQueryMetrics(t, m) })
+	}
+}
+
+func checkQueryMetrics(t *testing.T, m Method) {
+	e := New(Config{Seed: 42, Fanout: 32})
+	ds := gen.Uniform(20_000, 7, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100})
+	h, err := e.Register(ds, IndexOptions{LSTree: true, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := e.Obs()
 	if reg == nil {
 		t.Fatal("metrics should be on by default")
 	}
 
 	snap, err := h.Estimate(context.Background(), testRange, Options{
-		Kind: estimator.Avg, Attr: "value", Method: MethodRSTree, MaxSamples: 2000,
+		Kind: estimator.Avg, Attr: "value", Method: m, MaxSamples: 2000,
 	})
 	if err != nil {
 		t.Fatal(err)

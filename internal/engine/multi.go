@@ -172,7 +172,14 @@ func (h *Handle) EstimateMultiOnline(ctx context.Context, q geo.Range, specs []A
 		if opts.TimeBudget > 0 {
 			deadline = start.Add(opts.TimeBudget)
 		}
+		// Samples are pulled in adaptive batches (see batch.go) and folded
+		// with per-sample report and stop checks, so the report cadence
+		// and stopping point do not depend on the pull size.
+		bufp := getEntryBuf()
+		defer putEntryBuf(bufp)
+		buf := *bufp
 		k := 0
+		size := minPullBatch
 		for {
 			select {
 			case <-ctx.Done():
@@ -184,24 +191,31 @@ func (h *Handle) EstimateMultiOnline(ctx context.Context, q geo.Range, specs []A
 				emit(k, sampler.Name(), true)
 				return
 			}
-			e, ok := sampler.Next()
-			if !ok {
-				emit(k, sampler.Name(), true)
-				return
+			want := size
+			if opts.MaxSamples > 0 && want > opts.MaxSamples-k {
+				want = opts.MaxSamples - k
 			}
-			for i, a := range aggs {
-				a.add(cols[i][e.ID])
-			}
-			k++
-			if k%opts.ReportEvery == 0 {
-				if !emit(k, sampler.Name(), false) {
+			n := sampling.NextBatch(sampler, buf, want)
+			for _, e := range buf[:n] {
+				for i, a := range aggs {
+					a.add(cols[i][e.ID])
+				}
+				k++
+				if k%opts.ReportEvery == 0 {
+					if !emit(k, sampler.Name(), false) {
+						return
+					}
+				}
+				if opts.MaxSamples > 0 && k >= opts.MaxSamples {
+					emit(k, sampler.Name(), true)
 					return
 				}
 			}
-			if opts.MaxSamples > 0 && k >= opts.MaxSamples {
+			if n < want {
 				emit(k, sampler.Name(), true)
 				return
 			}
+			size = nextPullSize(size)
 		}
 	}()
 	return out, nil

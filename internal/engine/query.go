@@ -399,9 +399,9 @@ func (h *Handle) runEstimate(ctx context.Context, q geo.Rect, opts Options, out 
 	}
 
 	// Samples are pulled in adaptive batches (see batch.go) but folded into
-	// the estimator with exactly the serial loop's per-sample report and
-	// termination checks, so emitted snapshots and stopping points are
-	// unchanged — batching only amortizes sampler and device overheads.
+	// the estimator with per-sample report and termination checks, so
+	// emitted snapshots and stopping points do not depend on the pull size
+	// — batching only amortizes sampler and device overheads.
 	bufp := getEntryBuf()
 	defer putEntryBuf(bufp)
 	buf := *bufp
@@ -630,8 +630,7 @@ func (h *Handle) runQuantile(ctx context.Context, q geo.Rect, opts Options, popu
 		}
 	}
 
-	// Adaptive batch pulls with the serial loop's per-sample checks (see
-	// runEstimate).
+	// Adaptive batch pulls with per-sample checks (see runEstimate).
 	bufp := getEntryBuf()
 	defer putEntryBuf(bufp)
 	buf := *bufp

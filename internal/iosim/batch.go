@@ -160,8 +160,15 @@ func NewBatcher(next Accountant) *Batcher {
 	}
 }
 
-// Target returns the accountant the batcher forwards to.
-func (b *Batcher) Target() Accountant { return b.next }
+// Retarget flushes the pending charges to the current accountant and
+// forwards all later ones to next (Discard when nil).
+func (b *Batcher) Retarget(next Accountant) {
+	b.Flush()
+	if next == nil {
+		next = Discard
+	}
+	b.next = next
+}
 
 // Access implements Accountant by queueing the charge. It always reports a
 // hit; the true verdict is accounted downstream at flush time.

@@ -239,7 +239,7 @@ func (x *Index) SamplerWhere(q geo.Rect, rng *stats.RNG, c *pred.Compiled) *Samp
 		index: x,
 		query: q,
 		rng:   rng,
-		acct:  x.cfg.Device,
+		batch: iosim.NewBatcher(x.cfg.Device),
 		level: len(x.levels),
 		seen:  sampling.NewIDSet(x.size),
 	}
@@ -257,15 +257,16 @@ func (x *Index) SamplerWhere(q geo.Rect, rng *stats.RNG, c *pred.Compiled) *Samp
 }
 
 // Sampler is the LS-tree's online sample stream for one query. It
-// implements sampling.Sampler and sampling.BatchSampler. All mutable query
+// implements sampling.Sampler. All mutable query
 // state is local to the Sampler; the level trees are only read.
 type Sampler struct {
 	index *Index
 	query geo.Rect
 	rng   *stats.RNG
-	acct  iosim.Accountant
-	batch *iosim.Batcher // reused by NextBatch; charges go to acct
-	level int            // next level to scan (counts down); len(levels) before start
+	// batch coalesces the level scans' page charges into run-length
+	// batches, flushed at the end of every NextBatch call.
+	batch *iosim.Batcher
+	level int // next level to scan (counts down); len(levels) before start
 	// filters holds one predicate filter per level (parallel to the
 	// index's levels); nil when the query has no predicate.
 	filters []*rtree.TreeFilter
@@ -287,20 +288,39 @@ type Sampler struct {
 // I/O accounting.
 func (s *Sampler) AttributeIO(a iosim.Accountant) {
 	if a != nil {
-		s.acct = a
+		s.batch.Retarget(a)
 	}
 }
 
 var _ sampling.Sampler = (*Sampler)(nil)
-var _ sampling.BatchSampler = (*Sampler)(nil)
 
 // Name implements sampling.Sampler.
 func (s *Sampler) Name() string { return "LS-tree" }
 
-// Next implements sampling.Sampler. The i-th call returns the i-th element
-// of an online without-replacement sample of P ∩ Q; ok is false once all
-// matching records have been reported.
-func (s *Sampler) Next() (data.Entry, bool) {
+// NextBatch implements sampling.Sampler: the i-th sample of the stream is
+// the i-th element of an online without-replacement sample of P ∩ Q, and
+// the stream ends once all matching records have been reported. The
+// range-report page charges of any level scans the call triggers are
+// coalesced through a run-length batcher (one device lock per flush).
+func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
+	if k > len(dst) {
+		k = len(dst)
+	}
+	got := 0
+	for got < k {
+		e, ok := s.next()
+		if !ok {
+			break
+		}
+		dst[got] = e
+		got++
+	}
+	s.batch.Flush()
+	return got
+}
+
+// next returns the next sample, scanning further levels as needed.
+func (s *Sampler) next() (data.Entry, bool) {
 	for {
 		if s.cursor < len(s.pending) {
 			// Incremental Fisher–Yates within the level.
@@ -324,7 +344,7 @@ func (s *Sampler) Next() (data.Entry, bool) {
 		if s.filters != nil {
 			f = s.filters[s.level]
 		}
-		s.pending = s.index.levels[s.level].ReportAllWhereTo(s.acct, s.query, f)
+		s.pending = s.index.levels[s.level].ReportAllWhereTo(s.batch, s.query, f)
 		s.cursor = 0
 		s.scans++
 	}
@@ -339,34 +359,4 @@ func (s *Sampler) SamplerStats() sampling.SamplerStats {
 		st.Pruned += f.Pruned
 	}
 	return st
-}
-
-// NextBatch implements sampling.BatchSampler. Per-draw logic and RNG
-// consumption are exactly Next's, so the stream is byte-identical; the
-// range-report page charges of any level scans the batch triggers are
-// coalesced through a run-length batcher (one device lock per flush).
-func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
-	if k > len(dst) {
-		k = len(dst)
-	}
-	if k <= 0 {
-		return 0
-	}
-	prev := s.acct
-	if s.batch == nil || s.batch.Target() != prev {
-		s.batch = iosim.NewBatcher(prev)
-	}
-	s.acct = s.batch
-	got := 0
-	for got < k {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
-		dst[got] = e
-		got++
-	}
-	s.acct = prev
-	s.batch.Flush()
-	return got
 }

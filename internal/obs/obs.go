@@ -209,8 +209,13 @@ func (s HistogramSnapshot) Mean() float64 {
 
 // Snapshot copies the histogram's current state; empty on a nil receiver.
 // Each field is read atomically, so a snapshot racing writers is
-// internally monotone (no bucket count ever appears to decrease) though
-// Count may trail or lead the bucket total by in-flight observations.
+// internally monotone (no bucket count ever appears to decrease). Observe
+// bumps a bucket before the total, so buckets read while the total stood
+// still hold every counted observation plus at most one in flight per
+// writer: Count trails the bucket total by at most the writer count.
+// Snapshot retries the bucket reads a bounded number of times for such a
+// window; under sustained contention it settles for the last read, whose
+// Count may also lead the buckets.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
@@ -218,12 +223,18 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds, // immutable after construction
 		Counts: make([]uint64, len(h.counts)),
-		Count:  h.count.Load(),
-		Sum:    h.sum.Value(),
 	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
+	for try := 0; try < 64; try++ {
+		before := h.count.Load()
+		for i := range h.counts {
+			s.Counts[i] = h.counts[i].Load()
+		}
+		s.Count = h.count.Load()
+		if s.Count == before {
+			break
+		}
 	}
+	s.Sum = h.sum.Value()
 	return s
 }
 

@@ -6,26 +6,14 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
+	"storm/internal/iosim"
 	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
 
-// drawSerial reads n samples (or the whole stream if n < 0) via Next.
-func drawSerial(idx *Index, mode sampling.Mode, seed int64, n int) []data.ID {
-	s := idx.Sampler(testQuery, mode, stats.NewRNG(seed))
-	var out []data.ID
-	for n < 0 || len(out) < n {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
-		out = append(out, e.ID)
-	}
-	return out
-}
-
-// drawBatched reads the same stream via NextBatch with a cycling pattern of
-// batch sizes, exercising batch boundaries at many offsets.
+// drawBatched reads n samples (or the whole stream if n < 0) via NextBatch
+// with a cycling pattern of batch sizes.
 func drawBatched(idx *Index, mode sampling.Mode, seed int64, n int, sizes []int) []data.ID {
 	s := idx.Sampler(testQuery, mode, stats.NewRNG(seed))
 	var out []data.ID
@@ -46,67 +34,52 @@ func drawBatched(idx *Index, mode sampling.Mode, seed int64, n int, sizes []int)
 	return out
 }
 
-func assertSameStream(t *testing.T, label string, want, got []data.ID) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: stream lengths differ: serial %d, batched %d", label, len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: streams diverge at %d: serial %d, batched %d", label, i, want[i], got[i])
-		}
-	}
-}
-
-// TestNextBatchMatchesNextWithoutReplacement is the determinism contract:
-// for a fixed seed, the NextBatch stream must be byte-identical to the Next
-// stream — including across buffer exhaustion and materialization
-// boundaries, which the tiny BufferSize forces constantly.
-func TestNextBatchMatchesNextWithoutReplacement(t *testing.T) {
+// checkChunkInvariance is the determinism contract: for a fixed seed the
+// stream and the device stats do not depend on how the pulls are chunked —
+// one sample at a time (sampling.Next) or in any mix of sizes — including
+// across buffer exhaustion and materialization boundaries, which the tiny
+// BufferSize forces constantly. Each pattern gets a freshly built index,
+// so lazily regenerated node buffers charge the same pages every time.
+func checkChunkInvariance(t *testing.T, mode sampling.Mode, limit int) {
 	entries := genEntries(9000, 23)
-	idx, err := Build(entries, Config{Fanout: 16, BufferSize: 4, Seed: 29})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := drawSerial(idx, sampling.WithoutReplacement, 77, -1)
-	if len(serial) == 0 {
-		t.Fatal("empty reference stream")
-	}
-	for _, sizes := range [][]int{{1}, {7}, {64}, {512}, {1, 3, 17, 256}} {
-		batched := drawBatched(idx, sampling.WithoutReplacement, 77, -1, sizes)
-		assertSameStream(t, "without-replacement", serial, batched)
-	}
+	samplingtest.CheckChunkInvariance(t, t.Name(), limit, func() (sampling.Sampler, *iosim.Device) {
+		dev := iosim.NewDevice(48, iosim.DefaultCostModel())
+		idx, err := Build(entries, Config{Fanout: 16, BufferSize: 4, Seed: 29, Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.DropCache()
+		dev.ResetStats()
+		return idx.Sampler(testQuery, mode, stats.NewRNG(77)), dev
+	})
 }
 
-// TestNextBatchMatchesNextWithReplacement covers the weighted-descent mode.
+func TestNextBatchMatchesNextWithoutReplacement(t *testing.T) {
+	checkChunkInvariance(t, sampling.WithoutReplacement, 0)
+}
+
 func TestNextBatchMatchesNextWithReplacement(t *testing.T) {
-	entries := genEntries(9000, 31)
-	idx, err := Build(entries, Config{Fanout: 16, BufferSize: 8, Seed: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := drawSerial(idx, sampling.WithReplacement, 99, 3000)
-	batched := drawBatched(idx, sampling.WithReplacement, 99, 3000, []int{5, 250, 11})
-	assertSameStream(t, "with-replacement", serial, batched)
+	checkChunkInvariance(t, sampling.WithReplacement, 3000)
 }
 
-// TestNextBatchInterleavedWithNext mixes the two APIs on one sampler: the
-// combined stream must equal the pure-serial stream, because NextBatch may
-// not consume RNG or sampler state any differently than Next.
+// TestNextBatchInterleavedWithNext mixes single-sample pulls (sampling.Next)
+// and batched pulls of varying size on one sampler: the combined stream
+// must equal the one-at-a-time stream, because a pull's size may not
+// change how RNG or sampler state is consumed.
 func TestNextBatchInterleavedWithNext(t *testing.T) {
 	entries := genEntries(6000, 41)
 	idx, err := Build(entries, Config{Fanout: 16, BufferSize: 4, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := drawSerial(idx, sampling.WithoutReplacement, 5, -1)
+	serial := drawBatched(idx, sampling.WithoutReplacement, 5, -1, []int{1})
 
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(5))
 	var mixed []data.ID
 	buf := make([]data.Entry, 64)
 	for turn := 0; ; turn++ {
 		if turn%2 == 0 {
-			e, ok := s.Next()
+			e, ok := sampling.Next(s)
 			if !ok {
 				break
 			}
@@ -121,7 +94,32 @@ func TestNextBatchInterleavedWithNext(t *testing.T) {
 			break
 		}
 	}
-	assertSameStream(t, "interleaved", serial, mixed)
+	if len(mixed) != len(serial) {
+		t.Fatalf("interleaved: %d samples, one-at-a-time %d", len(mixed), len(serial))
+	}
+	for i := range serial {
+		if mixed[i] != serial[i] {
+			t.Fatalf("interleaved diverges at %d: %d vs %d", i, mixed[i], serial[i])
+		}
+	}
+}
+
+// TestNextBatchSteadyStateAllocs gates the allocation-free hot loop: once
+// a with-replacement sampler is warm (alias table built, batcher and
+// scratch sized, buffers published), a NextBatch call allocates nothing.
+func TestNextBatchSteadyStateAllocs(t *testing.T) {
+	dev := iosim.NewDevice(64, iosim.DefaultCostModel())
+	idx, err := Build(genEntries(20000, 3), Config{Fanout: 32, Seed: 5, Device: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := idx.Sampler(testQuery, sampling.WithReplacement, stats.NewRNG(7))
+	s.AttributeIO(iosim.NewCounter(dev))
+	buf := make([]data.Entry, 2000)
+	s.NextBatch(buf, len(buf)) // warm
+	if allocs := testing.AllocsPerRun(20, func() { s.NextBatch(buf, len(buf)) }); allocs != 0 {
+		t.Fatalf("steady-state NextBatch: %v allocs per call, want 0", allocs)
+	}
 }
 
 // TestNextBatchConcurrentIdentical runs batched same-seed streams

@@ -37,7 +37,7 @@ type part struct {
 }
 
 // Sampler is the RS-tree's online sample stream for one query. It
-// implements sampling.Sampler and sampling.BatchSampler. Without-
+// implements sampling.Sampler. Without-
 // replacement mode emits every record of P ∩ Q exactly once in uniformly
 // random prefix order; with-replacement mode emits independent uniform
 // samples via weighted random descent.
@@ -50,15 +50,11 @@ type Sampler struct {
 	query geo.Rect
 	mode  sampling.Mode
 	rng   *stats.RNG
-	// acct receives this query's page charges; defaults to the tree's
-	// shared device and can be redirected via AttributeIO for race-free
-	// per-query I/O accounting.
-	acct iosim.Accountant
-	// chg is the active charge target: acct normally, the run-length
-	// batcher while a NextBatch call is in flight. Swapping the target —
-	// never the charge sequence — is what lets a batch take the device
-	// lock once per flush while keeping stats identical to serial draws.
-	chg   iosim.Accountant
+	// batch coalesces this query's page charges into run-length batches
+	// and flushes them at the end of every NextBatch call, so a call takes
+	// the device lock once per flush. It forwards to the tree's shared
+	// device by default; AttributeIO redirects it for race-free per-query
+	// I/O accounting.
 	batch *iosim.Batcher
 	// filter is the query's predicate pushdown state; nil means no
 	// predicate. Subtrees it rules out never enter the frontier, and
@@ -131,11 +127,10 @@ func (x *Index) SamplerWhere(q geo.Rect, mode sampling.Mode, rng *stats.RNG, f *
 		query:       q,
 		mode:        mode,
 		rng:         rng,
-		acct:        x.tree.Device(),
+		batch:       iosim.NewBatcher(x.tree.Device()),
 		filter:      f,
 		MaxAttempts: 1 << 22,
 	}
-	s.chg = s.acct
 	return s
 }
 
@@ -144,39 +139,24 @@ func (x *Index) SamplerWhere(q geo.Rect, mode sampling.Mode, rng *stats.RNG, f *
 // query without racing other queries' attribution.
 func (s *Sampler) AttributeIO(a iosim.Accountant) {
 	if a != nil {
-		s.acct = a
-		s.chg = a
-		s.batch = nil
+		s.batch.Retarget(a)
 	}
 }
 
 // charge accounts one logical access of n's page to this query.
-func (s *Sampler) charge(n *rtree.Node) { s.chg.Access(n.PageID()) }
+func (s *Sampler) charge(n *rtree.Node) { s.batch.Access(n.PageID()) }
 
 var _ sampling.Sampler = (*Sampler)(nil)
-var _ sampling.BatchSampler = (*Sampler)(nil)
 
 // Name implements sampling.Sampler.
 func (s *Sampler) Name() string { return "RS-tree" }
 
-// Next implements sampling.Sampler.
-func (s *Sampler) Next() (data.Entry, bool) {
-	if !s.init {
-		s.initialize()
-	}
-	if s.mode == sampling.WithReplacement {
-		return s.nextWithReplacement()
-	}
-	return s.nextWithoutReplacement()
-}
-
-// NextBatch implements sampling.BatchSampler: it draws up to min(k,
-// len(dst)) samples using exactly the per-draw logic (and RNG consumption)
-// of Next, so the stream is byte-identical, while amortizing the per-draw
-// overheads across the batch: page charges are coalesced into run-length
-// batches (one device lock per flush instead of per draw), node buffers
-// regenerated during the batch are visited at most once, and steady-state
-// draws allocate nothing (scratch comes from pools).
+// NextBatch implements sampling.Sampler: it draws up to min(k, len(dst))
+// samples, amortizing the per-draw overheads across the call: page
+// charges are coalesced into run-length batches (one device lock per flush
+// instead of per draw), node buffers regenerated during the call are
+// visited at most once, and steady-state draws allocate nothing (scratch
+// comes from pools).
 func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 	if k > len(dst) {
 		k = len(dst)
@@ -184,8 +164,7 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 	if k <= 0 {
 		return 0
 	}
-	s.beginBatch()
-	defer s.endBatch()
+	defer s.batch.Flush()
 	if !s.init {
 		s.initialize()
 	}
@@ -210,20 +189,6 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 		got++
 	}
 	return got
-}
-
-// beginBatch swaps the charge target to the query's run-length batcher.
-func (s *Sampler) beginBatch() {
-	if s.batch == nil || s.batch.Target() != s.acct {
-		s.batch = iosim.NewBatcher(s.acct)
-	}
-	s.chg = s.batch
-}
-
-// endBatch flushes pending charges and restores per-draw charging.
-func (s *Sampler) endBatch() {
-	s.batch.Flush()
-	s.chg = s.acct
 }
 
 // initialize builds the query frontier: the maximal subtrees fully inside
@@ -282,7 +247,7 @@ func (s *Sampler) addPart(n *rtree.Node, contained, predAll bool) {
 		s.wrWeights = append(s.wrWeights, n.Count())
 		return
 	}
-	p := &part{node: n, buf: s.index.bufferFor(n, s.chg), contained: contained, predAll: predAll}
+	p := &part{node: n, buf: s.index.bufferFor(n, s.batch), contained: contained, predAll: predAll}
 	s.fen.Append(n.Count())
 	s.parts = append(s.parts, p)
 }

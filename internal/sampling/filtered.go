@@ -21,13 +21,16 @@ import (
 type Filtered struct {
 	inner Sampler
 	pred  *pred.Compiled
-	// MaxAttempts bounds consecutive rejected inner draws per Next call so
-	// a with-replacement inner stream (infinite by contract) cannot spin
-	// forever on a predicate with no qualifying records. Defaults to 2²².
+	// MaxAttempts bounds consecutive rejected inner draws since the last
+	// accepted sample, so a with-replacement inner stream (infinite by
+	// contract) cannot spin forever on a predicate with no qualifying
+	// records; reaching it ends the stream. Defaults to 2²²; 0 means
+	// unbounded.
 	MaxAttempts int
+	misses      int // consecutive rejections since the last accept
 	draws       uint64
 	rejects     uint64
-	buf         []data.Entry // scratch for NextBatch
+	buf         []data.Entry // scratch for inner pulls
 }
 
 // NewFiltered wraps inner so only records matching c are emitted. c must be
@@ -54,57 +57,42 @@ func (s *Filtered) Close() error {
 	return nil
 }
 
-// Next implements Sampler.
-func (s *Filtered) Next() (data.Entry, bool) {
-	for tries := 0; s.MaxAttempts <= 0 || tries < s.MaxAttempts; tries++ {
-		e, ok := s.inner.Next()
-		if !ok {
-			return data.Entry{}, false
-		}
-		if s.pred.Match(e.ID) {
-			s.draws++
-			return e, true
-		}
-		s.rejects++
-	}
-	return data.Entry{}, false
-}
-
-var _ BatchSampler = (*Filtered)(nil)
-
-// NextBatch implements BatchSampler: inner batches are pulled through the
-// inner sampler's own fast path and filtered into dst. The inner stream's
-// byte-identity contract plus deterministic filtering keeps the emitted
-// sequence identical to repeated Next calls.
+// NextBatch implements Sampler: inner batches are pulled through the
+// inner sampler's own NextBatch and filtered into dst. A pull never asks
+// the inner stream for more draws than could still be accepted (k - got)
+// or rejected before MaxAttempts ends the stream, so no inner draw is
+// consumed and dropped, and the output does not depend on the caller's
+// chunking.
 func (s *Filtered) NextBatch(dst []data.Entry, k int) int {
 	if k > len(dst) {
 		k = len(dst)
 	}
-	if k <= 0 {
-		return 0
-	}
-	if cap(s.buf) < k {
-		s.buf = make([]data.Entry, k)
-	}
-	got, attempts := 0, 0
+	got := 0
 	for got < k {
 		want := k - got
-		n := NextBatch(s.inner, s.buf[:want], want)
+		if s.MaxAttempts > 0 && want > s.MaxAttempts-s.misses {
+			want = s.MaxAttempts - s.misses
+		}
+		if want <= 0 {
+			break // attempt budget spent: the stream has ended
+		}
+		if cap(s.buf) < want {
+			s.buf = make([]data.Entry, want)
+		}
+		n := s.inner.NextBatch(s.buf[:want], want)
 		for _, e := range s.buf[:n] {
 			if s.pred.Match(e.ID) {
 				dst[got] = e
 				got++
 				s.draws++
+				s.misses = 0
 			} else {
 				s.rejects++
+				s.misses++
 			}
 		}
 		if n < want {
 			break // inner stream exhausted
-		}
-		attempts += want
-		if s.MaxAttempts > 0 && attempts >= s.MaxAttempts {
-			break
 		}
 	}
 	return got

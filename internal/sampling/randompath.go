@@ -35,14 +35,15 @@ import (
 // records, so the leaf-level predicate check keeps the accepted stream
 // exactly uniform over the qualifying records.
 type RandomPath struct {
-	tree   *rtree.Tree
-	query  geo.Rect
-	mode   Mode
-	rng    *stats.RNG
-	acct   iosim.Accountant
+	tree  *rtree.Tree
+	query geo.Rect
+	mode  Mode
+	rng   *stats.RNG
+	// batch coalesces this query's node charges into run-length batches,
+	// flushed to the accountant at the end of every NextBatch call.
+	batch  *iosim.Batcher
 	filter *rtree.TreeFilter
-	elig   []*rtree.Node  // per-node scratch: eligible children of the walk
-	batch  *iosim.Batcher // reused by NextBatch; charges go to acct
+	elig   []*rtree.Node // per-node scratch: eligible children of the walk
 	seen   *IDSet
 	// remaining is the exact number of matching records left to emit in
 	// without-replacement mode; -1 until first computed.
@@ -65,7 +66,7 @@ func NewRandomPath(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG) *Random
 // nil filter is exactly NewRandomPath.
 func NewRandomPathWhere(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG, f *rtree.TreeFilter) *RandomPath {
 	s := &RandomPath{
-		tree: t, query: q, mode: mode, rng: rng, acct: t.Device(),
+		tree: t, query: q, mode: mode, rng: rng, batch: iosim.NewBatcher(t.Device()),
 		filter:    f,
 		remaining: -1,
 		MaxWalks:  1 << 22,
@@ -80,7 +81,7 @@ func NewRandomPathWhere(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG, f 
 // per-query I/O accounting.
 func (s *RandomPath) AttributeIO(a iosim.Accountant) {
 	if a != nil {
-		s.acct = a
+		s.batch.Retarget(a)
 	}
 }
 
@@ -101,8 +102,28 @@ func (s *RandomPath) SamplerStats() SamplerStats {
 	return st
 }
 
-// Next implements Sampler.
-func (s *RandomPath) Next() (data.Entry, bool) {
+// NextBatch implements Sampler: repeated root-to-leaf walks with the
+// call's node charges coalesced (one device lock per flush rather than per
+// visited node).
+func (s *RandomPath) NextBatch(dst []data.Entry, k int) int {
+	if k > len(dst) {
+		k = len(dst)
+	}
+	got := 0
+	for got < k {
+		e, ok := s.next()
+		if !ok {
+			break
+		}
+		dst[got] = e
+		got++
+	}
+	s.batch.Flush()
+	return got
+}
+
+// next walks until one sample is accepted or the walk budget runs out.
+func (s *RandomPath) next() (data.Entry, bool) {
 	if s.mode == WithoutReplacement {
 		if s.remaining < 0 {
 			s.remaining = s.tree.CountWhere(s.query, s.filter)
@@ -133,7 +154,7 @@ func (s *RandomPath) Next() (data.Entry, bool) {
 // walk performs one random root-to-leaf descent; ok is false on rejection.
 func (s *RandomPath) walk() (data.Entry, bool) {
 	n := s.tree.Root()
-	s.acct.Access(n.PageID())
+	s.batch.Access(n.PageID())
 	if n.Count() == 0 {
 		return data.Entry{}, false
 	}
@@ -177,7 +198,7 @@ func (s *RandomPath) walk() (data.Entry, bool) {
 			pick -= c.Count()
 		}
 		n = next
-		s.acct.Access(n.PageID())
+		s.batch.Access(n.PageID())
 	}
 	entries := n.Entries()
 	if len(entries) == 0 {

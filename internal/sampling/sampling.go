@@ -3,10 +3,11 @@
 // paper compares against: QueryFirst, SampleFirst and Olken's RandomPath.
 //
 // A Sampler is a per-query object that returns uniform random samples from
-// P ∩ Q one at a time, for an a-priori unknown sample count k: the consumer
-// keeps calling Next until it is satisfied (accuracy target met, time
-// budget exhausted, or the user cancels). The STORM indexes (packages
-// lstree and rstree) implement the same interface.
+// P ∩ Q for an a-priori unknown sample count k: the consumer keeps pulling
+// until it is satisfied (accuracy target met, time budget exhausted, or the
+// user cancels). Pulls go through NextBatch; a pull of one sample (Next)
+// is the paper's one-at-a-time draw. The STORM indexes (packages lstree
+// and rstree) and the distributed coordinator implement the same interface.
 //
 // # Concurrency
 //
@@ -40,15 +41,40 @@ const (
 	WithReplacement
 )
 
-// Sampler returns uniform random samples from a query range one at a time.
+// Sampler returns uniform random samples from a query range.
 //
-// Next returns ok = false when the stream is exhausted: a without-
+// NextBatch fills dst[:n] with the next min(k, len(dst)) samples of the
+// stream and returns n; n < k means the stream is exhausted. A without-
 // replacement sampler over a range with q matching records is exhausted
-// after q samples; a with-replacement sampler is exhausted only when the
-// range is empty.
+// after q samples; a with-replacement sampler only when the range is
+// empty (or its attempt budget runs out).
+//
+// The stream contract: for a fixed seed the concatenated output does not
+// depend on how the caller chunks its pulls — k = 1 repeated, one large
+// pull, or any mix yield byte-identical samples, identical sampler
+// counters and identical device I/O stats. Chunking only amortizes
+// per-call overheads (lock acquisitions, charge bookkeeping), never the
+// draw distribution.
 type Sampler interface {
-	Next() (e data.Entry, ok bool)
+	NextBatch(dst []data.Entry, k int) int
 	Name() string
+}
+
+// NextBatch draws up to min(k, len(dst)) samples from s into dst and
+// returns how many were drawn; it is shorthand for s.NextBatch(dst, k).
+func NextBatch(s Sampler, dst []data.Entry, k int) int {
+	return s.NextBatch(dst, k)
+}
+
+// Next draws one sample from s — NextBatch with k = 1 — for callers that
+// consume the stream a sample at a time. ok is false once the stream is
+// exhausted.
+func Next(s Sampler) (e data.Entry, ok bool) {
+	var one [1]data.Entry
+	if s.NextBatch(one[:], 1) == 0 {
+		return data.Entry{}, false
+	}
+	return one[0], true
 }
 
 // QueryFirst is the paper's first strawman: compute P ∩ Q in full, then
@@ -93,31 +119,42 @@ func (s *QueryFirst) AttributeIO(a iosim.Accountant) {
 // Name implements Sampler.
 func (s *QueryFirst) Name() string { return "RangeReport" }
 
-// Next implements Sampler.
-func (s *QueryFirst) Next() (data.Entry, bool) {
+// NextBatch implements Sampler. QueryFirst has no per-sample I/O to
+// amortize: all of it happens in the one up-front range report.
+func (s *QueryFirst) NextBatch(dst []data.Entry, k int) int {
+	if k > len(dst) {
+		k = len(dst)
+	}
+	if k <= 0 {
+		return 0
+	}
 	if !s.fetched {
 		s.matched = s.tree.ReportAllWhereTo(s.acct, s.query, s.filter)
 		s.fetched = true
 	}
 	n := len(s.matched)
 	if n == 0 {
-		return data.Entry{}, false
+		return 0
 	}
 	if s.mode == WithReplacement {
-		s.draws++
-		return s.matched[s.rng.Intn(n)], true
-	}
-	if s.cursor >= n {
-		return data.Entry{}, false
+		for i := 0; i < k; i++ {
+			dst[i] = s.matched[s.rng.Intn(n)]
+		}
+		s.draws += uint64(k)
+		return k
 	}
 	// Incremental Fisher–Yates: each emitted prefix is a uniform
 	// without-replacement sample.
-	j := s.cursor + s.rng.Intn(n-s.cursor)
-	s.matched[s.cursor], s.matched[j] = s.matched[j], s.matched[s.cursor]
-	e := s.matched[s.cursor]
-	s.cursor++
-	s.draws++
-	return e, true
+	got := 0
+	for got < k && s.cursor < n {
+		j := s.cursor + s.rng.Intn(n-s.cursor)
+		s.matched[s.cursor], s.matched[j] = s.matched[j], s.matched[s.cursor]
+		dst[got] = s.matched[s.cursor]
+		s.cursor++
+		got++
+	}
+	s.draws += uint64(got)
+	return got
 }
 
 // SamplerStats implements StatsReporter: Scans records the up-front full
@@ -143,7 +180,9 @@ type SampleFirst struct {
 	query geo.Rect
 	mode  Mode
 	rng   *stats.RNG
-	dev   iosim.Accountant
+	// batch coalesces this query's page charges into run-length batches,
+	// flushed to the accountant at the end of every NextBatch call.
+	batch *iosim.Batcher
 	// perPage is how many records share a simulated data page.
 	perPage int
 	// MaxAttempts bounds the rejection loop per sample; when exceeded,
@@ -163,10 +202,9 @@ type SampleFirst struct {
 	// Must be set before the first draw.
 	Pred     *pred.Compiled
 	seen     *IDSet
-	batch    *iosim.Batcher // reused by NextBatch; charges go to dev
-	attempts uint64         // total attempts, for instrumentation
-	accepted uint64         // rejection-loop accepts (excludes scan serves)
-	draws    uint64         // accepted samples returned
+	attempts uint64 // total attempts, for instrumentation
+	accepted uint64 // rejection-loop accepts (excludes scan serves)
+	draws    uint64 // accepted samples returned
 	// Degraded-scan state: pending holds the remaining matching records,
 	// permuted incrementally from cursor.
 	scanned    bool
@@ -182,11 +220,8 @@ func NewSampleFirst(ds *data.Dataset, q geo.Rect, mode Mode, rng *stats.RNG, dev
 	if perPage <= 0 {
 		perPage = 64
 	}
-	if dev == nil {
-		dev = iosim.Discard
-	}
 	s := &SampleFirst{
-		ds: ds, query: q, mode: mode, rng: rng, dev: dev, perPage: perPage,
+		ds: ds, query: q, mode: mode, rng: rng, batch: iosim.NewBatcher(dev), perPage: perPage,
 		MaxAttempts: 200 * ds.Len(),
 	}
 	if mode == WithoutReplacement {
@@ -199,7 +234,7 @@ func NewSampleFirst(ds *data.Dataset, q geo.Rect, mode Mode, rng *stats.RNG, dev
 // per-query I/O accounting.
 func (s *SampleFirst) AttributeIO(a iosim.Accountant) {
 	if a != nil {
-		s.dev = a
+		s.batch.Retarget(a)
 	}
 }
 
@@ -225,8 +260,28 @@ func (s *SampleFirst) SamplerStats() SamplerStats {
 	return st
 }
 
-// Next implements Sampler.
-func (s *SampleFirst) Next() (data.Entry, bool) {
+// NextBatch implements Sampler. Page charges for the whole call are
+// coalesced into run-length batches, taking the device lock once per
+// flush instead of once per inspected record.
+func (s *SampleFirst) NextBatch(dst []data.Entry, k int) int {
+	if k > len(dst) {
+		k = len(dst)
+	}
+	got := 0
+	for got < k {
+		e, ok := s.next()
+		if !ok {
+			break
+		}
+		dst[got] = e
+		got++
+	}
+	s.batch.Flush()
+	return got
+}
+
+// next runs the rejection loop for one sample.
+func (s *SampleFirst) next() (data.Entry, bool) {
 	n := s.ds.Len()
 	if n == 0 {
 		return data.Entry{}, false
@@ -237,7 +292,7 @@ func (s *SampleFirst) Next() (data.Entry, bool) {
 	for tries := 0; tries < s.MaxAttempts; tries++ {
 		s.attempts++
 		id := data.ID(s.rng.Intn(n))
-		s.dev.Access(iosim.PageID(uint64(id) / uint64(s.perPage)))
+		s.batch.Access(iosim.PageID(uint64(id) / uint64(s.perPage)))
 		pos := s.ds.Pos(id)
 		if !s.query.Contains(pos) {
 			continue
@@ -276,7 +331,7 @@ func (s *SampleFirst) scanNext() (data.Entry, bool) {
 		s.explosions++
 		n := s.ds.Len()
 		for p := 0; p <= (n-1)/s.perPage; p++ {
-			s.dev.Access(iosim.PageID(p))
+			s.batch.Access(iosim.PageID(p))
 		}
 		for i := 0; i < n; i++ {
 			id := data.ID(i)
