@@ -7,9 +7,10 @@ GO ?= go
 # cluster all run under -race.
 RACE_PKGS := ./internal/rstree/ ./internal/lstree/ ./internal/sampling/ \
 	./internal/engine/ ./internal/iosim/ ./internal/server/ ./internal/distr/ \
-	./internal/obs/ ./internal/wire/ ./internal/ingest/
+	./internal/obs/ ./internal/wire/ ./internal/ingest/ ./internal/par/ \
+	./internal/rtree/
 
-.PHONY: verify fmt vet build test race bench bench-batch docs-lint docs-check bench-obs bench-faults test-stats test-stats-failover fuzz-smoke test-cluster bench-cluster bench-pushdown bench-contracts bench-ingest bench-replication
+.PHONY: verify fmt vet build test race bench bench-batch bench-build docs-lint docs-check bench-obs bench-faults test-stats test-stats-failover fuzz-smoke test-cluster bench-cluster bench-pushdown bench-contracts bench-ingest bench-replication
 
 verify: fmt vet build test race docs-lint
 
@@ -37,6 +38,12 @@ bench:
 # pipe the output of two runs (before/after a change) into benchstat.
 bench-batch:
 	$(GO) test -run NONE -bench 'BenchmarkBatchedSampling' -benchtime 500x -count 5 -benchmem .
+
+# Index build cost: engine Register over 200k gen.OSM rows with the
+# LS-tree on (RS-tree, buffers, summaries and LS levels built side by side
+# on the GOMAXPROCS-bounded build pool); pipe two runs into benchstat.
+bench-build:
+	$(GO) test -run NONE -bench 'BenchmarkRegister' -benchtime 5x -count 5 ./internal/engine/
 
 # Godoc discipline: every exported identifier in the observability-facing
 # packages must have a doc comment (stdlib-only checker, see cmd/docslint).

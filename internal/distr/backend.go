@@ -6,8 +6,9 @@
 package distr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"storm/internal/data"
@@ -25,9 +26,9 @@ import (
 // partition splits the dataset into contiguous Hilbert ranges — one per
 // shard, spatially coherent so selective queries touch few shards. The
 // result is fully deterministic in the dataset contents and shard count
-// (the sort is over totally-ordered keys with index tie-breaks), so a
-// coordinator and a remote shard host partitioning the same dataset agree
-// on every shard's contents without shipping them.
+// (pdqsort is deterministic, so Hilbert-key ties always land the same
+// way), so a coordinator and a remote shard host partitioning the same
+// dataset agree on every shard's contents without shipping them.
 func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.Rect, err error) {
 	entries := ds.Entries()
 	bounds = ds.Bounds()
@@ -39,15 +40,15 @@ func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.R
 	if err != nil {
 		return nil, geo.Rect{}, fmt.Errorf("distr: %w", err)
 	}
-	keys := make([]uint64, len(entries))
+	order := make([]hilbertOrder, len(entries))
 	for i, e := range entries {
-		keys[i] = quant.Value(e.Pos[0], e.Pos[1], e.Pos[2])
+		order[i] = hilbertOrder{quant.Value(e.Pos[0], e.Pos[1], e.Pos[2]), i}
 	}
-	order := make([]int, len(entries))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	// Remote shard hosts partition on their own, so the order of tied
+	// keys is part of the protocol: slices' pdqsort over (key, index)
+	// pairs makes exactly the moves sort.Slice makes over the index
+	// permutation, ties included.
+	slices.SortFunc(order, func(a, b hilbertOrder) int { return cmp.Compare(a.key, b.key) })
 
 	parts = make([][]data.Entry, shards)
 	per := (len(entries) + shards - 1) / shards
@@ -61,12 +62,18 @@ func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.R
 			hi = len(entries)
 		}
 		part := make([]data.Entry, 0, hi-lo)
-		for _, idx := range order[lo:hi] {
-			part = append(part, entries[idx])
+		for _, o := range order[lo:hi] {
+			part = append(part, entries[o.idx])
 		}
 		parts[s] = part
 	}
 	return parts, bounds, nil
+}
+
+// hilbertOrder is one entry's Hilbert key and its index in the dataset.
+type hilbertOrder struct {
+	key uint64
+	idx int
 }
 
 // buildShard materializes one shard from its partition: a local RS-tree

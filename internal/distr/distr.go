@@ -44,6 +44,7 @@ import (
 	"storm/internal/geo"
 	"storm/internal/iosim"
 	"storm/internal/obs"
+	"storm/internal/par"
 	"storm/internal/pred"
 	"storm/internal/rstree"
 	"storm/internal/rtree"
@@ -384,17 +385,27 @@ func Build(ds *data.Dataset, cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg, ds: ds}
 	c.faults = newFaultStates(cfg.Faults, cfg.Shards, cfg.Replicas)
-	for s, part := range parts {
-		// Each replica is an exact clone: same partition, same build seed,
-		// so the copies hold identical trees and any of them can serve any
-		// stream. Shards() sees only the primaries; updates mirror to every
-		// copy (Insert/Delete).
+	// Each replica is an exact clone: same partition, same build seed,
+	// so the copies hold identical trees and any of them can serve any
+	// stream. Every copy owns its device, so all of them build side by
+	// side with nothing to reconcile afterwards.
+	built := make([]*Shard, cfg.Shards*cfg.Replicas)
+	errs := make([]error, len(built))
+	par.For(len(built), func(i int) {
+		s := i / cfg.Replicas
+		built[i], errs[i] = buildShard(ds, parts[s], s, bounds, cfg)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	for s := range parts {
+		// Shards() sees only the primaries; updates mirror to every copy
+		// (Insert/Delete).
 		reps := make([]ShardClient, 0, cfg.Replicas)
 		for r := 0; r < cfg.Replicas; r++ {
-			sh, err := buildShard(ds, part, s, bounds, cfg)
-			if err != nil {
-				return nil, err
-			}
+			sh := built[s*cfg.Replicas+r]
 			b := newShardBackend(sh, ds)
 			var cl ShardClient = &loopbackClient{b: b}
 			if r == 0 {

@@ -37,6 +37,7 @@ import (
 	"storm/internal/iosim"
 	"storm/internal/lstree"
 	"storm/internal/obs"
+	"storm/internal/par"
 	"storm/internal/rstree"
 	"storm/internal/rtree"
 	"storm/internal/sampling"
@@ -243,60 +244,88 @@ func (e *Engine) Register(ds *data.Dataset, opts IndexOptions) (*Handle, error) 
 	if _, dup := e.datasets[ds.Name()]; dup {
 		return nil, fmt.Errorf("engine: dataset %q already registered", ds.Name())
 	}
-	var dev iosim.Accountant = iosim.Discard
-	if e.device != nil {
-		dev = e.device
-	}
-	entries := ds.Entries()
-	rs, err := rstree.Build(entries, rstree.Config{
-		Fanout: e.cfg.Fanout,
-		Device: dev,
-		Seed:   e.nextSeed(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("engine: building RS-tree for %q: %w", ds.Name(), err)
-	}
-	h := &Handle{name: ds.Name(), ds: ds, rs: rs, eng: e, deleted: make(map[data.ID]struct{})}
-	for _, en := range entries {
-		h.noteTime(en.Pos[2])
-	}
-	// Bulk-load-time summary build: one tree walk computes every node's
-	// attribute digests so the first predicate query pays no lazy
-	// recomputation.
-	h.sums = rtree.NewSummaries(rs.Tree(), ds)
-	h.sums.Precompute()
+	// Seeds are drawn up front in a fixed order (RS, LS, cluster), so
+	// they do not depend on how the builds below are scheduled.
+	rsSeed := e.nextSeed()
+	var lsSeed, clusterSeed int64
 	if opts.LSTree {
-		ls, err := lstree.Build(entries, lstree.Config{
-			Fanout: e.cfg.Fanout,
-			Device: dev,
-			Seed:   e.nextSeed(),
-			Attrs:  ds,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("engine: building LS-tree for %q: %w", ds.Name(), err)
-		}
-		h.ls = ls
+		lsSeed = e.nextSeed()
 	}
-	if opts.Shards > 0 || len(opts.ShardAddrs) > 0 {
+	wantCluster := opts.Shards > 0 || len(opts.ShardAddrs) > 0
+	if wantCluster {
+		clusterSeed = e.nextSeed()
+	}
+	// The RS-tree, LS-tree and shard cluster build side by side. The two
+	// local indexes charge private logs, replayed below in the order a
+	// serial build charges the device (see DESIGN.md §4.1).
+	var rsLog, lsLog iosim.Log
+	entries := ds.Entries()
+	var (
+		rs                  *rstree.Index
+		sums                *rtree.Summaries
+		ls                  *lstree.Index
+		cl                  *distr.Cluster
+		rsErr, lsErr, clErr error
+	)
+	par.Do(func() {
+		rs, rsErr = rstree.Build(entries, rstree.Config{Fanout: e.cfg.Fanout, Device: &rsLog, Seed: rsSeed})
+		if rsErr == nil {
+			// Bulk-load-time summary build: one tree walk computes every
+			// node's attribute digests so the first predicate query pays
+			// no lazy recomputation.
+			sums = rtree.NewSummaries(rs.Tree(), ds)
+			sums.Precompute()
+		}
+	}, func() {
+		if opts.LSTree {
+			ls, lsErr = lstree.Build(entries, lstree.Config{Fanout: e.cfg.Fanout, Device: &lsLog, Seed: lsSeed, Attrs: ds})
+		}
+	}, func() {
+		if !wantCluster {
+			return
+		}
 		cfg := distr.Config{
 			Shards:   opts.Shards,
 			Replicas: opts.Replicas,
 			Fanout:   e.cfg.Fanout,
-			Seed:     e.nextSeed(),
+			Seed:     clusterSeed,
 			Obs:      e.obs,
 			Faults:   opts.Faults,
 		}
-		var cl *distr.Cluster
-		var err error
 		if len(opts.ShardAddrs) > 0 {
-			cl, err = distr.BuildRemote(ds, cfg, opts.ShardAddrs)
+			cl, clErr = distr.BuildRemote(ds, cfg, opts.ShardAddrs)
 		} else {
-			cl, err = distr.Build(ds, cfg)
+			cl, clErr = distr.Build(ds, cfg)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("engine: building cluster for %q: %w", ds.Name(), err)
+	})
+	var err error
+	switch {
+	case rsErr != nil:
+		err = fmt.Errorf("engine: building RS-tree for %q: %w", ds.Name(), rsErr)
+	case lsErr != nil:
+		err = fmt.Errorf("engine: building LS-tree for %q: %w", ds.Name(), lsErr)
+	case clErr != nil:
+		err = fmt.Errorf("engine: building cluster for %q: %w", ds.Name(), clErr)
+	}
+	if err != nil {
+		if cl != nil {
+			cl.Close()
 		}
-		h.cluster = cl
+		return nil, err
+	}
+	var dev iosim.Accountant = iosim.Discard
+	if e.device != nil {
+		dev = e.device
+	}
+	rsLog.Replay(dev)
+	rs.SetDevice(dev)
+	lsLog.Replay(dev)
+	if ls != nil {
+		ls.SetDevice(dev)
+	}
+	h := &Handle{name: ds.Name(), ds: ds, rs: rs, ls: ls, sums: sums, cluster: cl, eng: e, deleted: make(map[data.ID]struct{})}
+	for _, en := range entries {
+		h.noteTime(en.Pos[2])
 	}
 	e.datasets[ds.Name()] = h
 	// Per-dataset live gauges; torn down by Unregister via the shared

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -72,6 +73,19 @@ type windowItem struct {
 	row data.Row
 }
 
+// cmpEventTime orders window items by event time with the same
+// comparisons as a t < t' less function (NaN compares equal to
+// everything), so typed sorts keep the order the reflective ones gave.
+func cmpEventTime(a, b windowItem) int {
+	switch {
+	case a.t < b.t:
+		return -1
+	case a.t > b.t:
+		return 1
+	}
+	return 0
+}
+
 // NewWindowReservoir returns a reservoir holding an exactly uniform sample
 // of up to k live records. The seed drives the priority draws; a fixed
 // seed makes the retained sample a deterministic function of the arrival
@@ -129,8 +143,8 @@ func (w *WindowReservoir) AddBatch(rows []data.Row) {
 		batch = append(batch, windowItem{t: rows[i].Pos[2], pri: w.rng.Float64(), row: rows[i]})
 	}
 	w.batch = batch
-	if !sort.SliceIsSorted(batch, func(a, b int) bool { return batch[a].t < batch[b].t }) {
-		sort.SliceStable(batch, func(a, b int) bool { return batch[a].t < batch[b].t })
+	if !slices.IsSortedFunc(batch, cmpEventTime) {
+		slices.SortStableFunc(batch, cmpEventTime)
 	}
 	// Backward merge: only retained items with event time above the
 	// batch's minimum move, so an in-order (or nearly in-order) stream

@@ -37,6 +37,7 @@ import (
 	"storm/internal/data"
 	"storm/internal/geo"
 	"storm/internal/iosim"
+	"storm/internal/par"
 	"storm/internal/pred"
 	"storm/internal/rtree"
 	"storm/internal/sampling"
@@ -97,27 +98,59 @@ func Build(entries []data.Entry, cfg Config) (*Index, error) {
 	}
 	idx := &Index{cfg: cfg, rng: stats.NewRNG(cfg.Seed), size: len(entries)}
 
-	level := entries
-	for {
-		t, err := rtree.New(rtree.Config{Fanout: cfg.Fanout, Device: cfg.Device})
-		if err != nil {
-			return nil, fmt.Errorf("lstree: %w", err)
-		}
-		t.BulkLoad(level)
-		idx.levels = append(idx.levels, t)
-		idx.addSummaries(t)
-		if len(level) <= cfg.TopLevelMax {
-			break
-		}
+	// The coin flips all run first, serially and in level order on the
+	// index RNG, so level membership and the RNG state afterwards do not
+	// depend on how the level builds are scheduled.
+	members := [][]data.Entry{entries}
+	for level := entries; len(level) > cfg.TopLevelMax; {
 		next := make([]data.Entry, 0, len(level)/2+16)
 		for _, e := range level {
 			if idx.rng.Bernoulli(0.5) {
 				next = append(next, e)
 			}
 		}
+		members = append(members, next)
 		level = next
 	}
+	// The levels then bulk-load side by side, each charging a private
+	// log; replaying the logs in level order charges cfg.Device exactly
+	// as a serial, level-by-level build would.
+	logs := make([]iosim.Log, len(members))
+	idx.levels = make([]*rtree.Tree, len(members))
+	for i := range idx.levels {
+		t, err := rtree.New(rtree.Config{Fanout: cfg.Fanout, Device: &logs[i]})
+		if err != nil {
+			return nil, fmt.Errorf("lstree: %w", err)
+		}
+		idx.levels[i] = t
+	}
+	if cfg.Attrs != nil {
+		idx.sums = make([]*rtree.Summaries, len(members))
+	}
+	par.For(len(members), func(i int) {
+		idx.levels[i].BulkLoad(members[i])
+		if cfg.Attrs != nil {
+			idx.sums[i] = newSummaries(idx.levels[i], cfg.Attrs)
+		}
+	})
+	for i, t := range idx.levels {
+		logs[i].Replay(cfg.Device)
+		t.SetDevice(cfg.Device)
+	}
 	return idx, nil
+}
+
+// SetDevice points every level's page charges at a, for later queries,
+// updates and grown levels. Must be serialized against all other use of
+// the index.
+func (x *Index) SetDevice(a iosim.Accountant) {
+	if a == nil {
+		a = iosim.Discard
+	}
+	x.cfg.Device = a
+	for _, t := range x.levels {
+		t.SetDevice(a)
+	}
 }
 
 // Levels returns the number of levels (ℓ + 1).
@@ -178,16 +211,21 @@ func (x *Index) maybeGrow() {
 	x.addSummaries(t)
 }
 
-// addSummaries attaches an attribute-summary maintainer to a freshly built
+// addSummaries attaches an attribute-summary maintainer to a freshly grown
 // level tree when summaries are enabled. Runs on the write path only, so
 // concurrent queries never observe sums growing.
 func (x *Index) addSummaries(t *rtree.Tree) {
-	if x.cfg.Attrs == nil {
-		return
+	if x.cfg.Attrs != nil {
+		x.sums = append(x.sums, newSummaries(t, x.cfg.Attrs))
 	}
-	s := rtree.NewSummaries(t, x.cfg.Attrs)
+}
+
+// newSummaries returns t's attribute summaries with every node's digests
+// already computed.
+func newSummaries(t *rtree.Tree, src rtree.AttrSource) *rtree.Summaries {
+	s := rtree.NewSummaries(t, src)
 	s.Precompute()
-	x.sums = append(x.sums, s)
+	return s
 }
 
 // CountWhere returns the number of level-0 records in q satisfying c,

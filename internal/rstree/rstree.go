@@ -53,7 +53,7 @@ package rstree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"storm/internal/data"
@@ -172,6 +172,14 @@ func (x *Index) precomputeBuffers(n *rtree.Node) {
 	}
 }
 
+// SetDevice points the index's page charges at a — the build's and
+// every later query's and update's. Must be serialized against all other
+// use of the index (see rtree.Tree.SetDevice).
+func (x *Index) SetDevice(a iosim.Accountant) {
+	x.tree.SetDevice(a)
+	x.cfg.Device = x.tree.Device()
+}
+
 // Tree exposes the underlying Hilbert R-tree (for counting, reporting and
 // structural tests).
 func (x *Index) Tree() *rtree.Tree { return x.tree }
@@ -261,7 +269,7 @@ func (x *Index) sampleSubtree(n *rtree.Node, s int, acct iosim.Accountant) []dat
 	}
 	rng := stats.NewRNG(x.bufferSeed(n))
 	positions := distinctPositions(rng, count, s)
-	sort.Ints(positions)
+	slices.Sort(positions)
 	out := make([]data.Entry, 0, s)
 	x.collectPositions(n, positions, 0, &out, acct)
 	putInts(positions)

@@ -17,8 +17,7 @@ import (
 // keep up with producer-side append rates (see package ingest).
 //
 // The entries slice is reordered in place. Classic (non-Hilbert) trees
-// fall back to per-entry insertion; callers there should pre-sort with
-// SortSTR to keep inserts spatially clustered.
+// fall back to per-entry insertion.
 func (t *Tree) InsertBatch(entries []data.Entry) {
 	if len(entries) == 0 {
 		return
@@ -34,7 +33,7 @@ func (t *Tree) InsertBatch(entries []data.Entry) {
 	for i, e := range entries {
 		keys[i] = t.hilbertValue(e.Pos)
 	}
-	sort.Sort(&hilbertSorter{entries: entries, keys: keys})
+	t.sortBuf = sortByKey(entries, keys, t.sortBuf)
 
 	siblings := t.batchInsert(t.root, entries, keys)
 	if len(siblings) > 0 {
@@ -107,7 +106,7 @@ func (t *Tree) batchInsert(n *Node, es []data.Entry, ks []uint64) []*Node {
 // not the arrival order (minimum fill holds: with m = ceil(len/fanout)
 // chunks, every chunk has more than fanout/2 entries).
 func (t *Tree) splitLeafEven(n *Node) []*Node {
-	sort.Sort(&hilbertSorter{entries: n.entries, keys: n.keys})
+	t.sortBuf = sortByKey(n.entries, n.keys, t.sortBuf)
 	total := len(n.entries)
 	m := (total + t.cfg.Fanout - 1) / t.cfg.Fanout
 	es, ks := n.entries, n.keys

@@ -1,11 +1,13 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"storm/internal/data"
 	"storm/internal/geo"
+	"storm/internal/par"
 )
 
 // BulkLoad builds the tree from scratch over the given entries, replacing
@@ -46,31 +48,77 @@ func (t *Tree) sortHilbert(entries []data.Entry) {
 	for i, e := range entries {
 		keys[i] = t.hilbertValue(e.Pos)
 	}
-	sort.Sort(&hilbertSorter{entries: entries, keys: keys})
+	sortByKey(entries, keys, nil)
 }
 
-type hilbertSorter struct {
-	entries []data.Entry
-	keys    []uint64
+// keyedEntry pairs an entry with its Hilbert key for sortByKey.
+type keyedEntry struct {
+	key uint64
+	e   data.Entry
 }
 
-func (s *hilbertSorter) Len() int           { return len(s.entries) }
-func (s *hilbertSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *hilbertSorter) Swap(i, j int) {
-	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+func cmpKeyedEntry(a, b keyedEntry) int { return cmp.Compare(a.key, b.key) }
+
+// sortByKey orders entries and the index-parallel keys by key. slices'
+// pdqsort is the algorithm sort.Sort runs, so given the same comparison
+// outcomes it makes the same moves: entries with equal keys end up in the
+// order they always did. scratch (grown when too short) holds the pairs
+// and is returned for reuse.
+func sortByKey(entries []data.Entry, keys []uint64, scratch []keyedEntry) []keyedEntry {
+	if cap(scratch) < len(entries) {
+		scratch = make([]keyedEntry, len(entries))
+	}
+	pairs := scratch[:len(entries)]
+	for i, e := range entries {
+		pairs[i] = keyedEntry{keys[i], e}
+	}
+	slices.SortFunc(pairs, cmpKeyedEntry)
+	for i, p := range pairs {
+		keys[i], entries[i] = p.key, p.e
+	}
+	return scratch
 }
 
-// SortSTR arranges entries in Sort-Tile-Recursive order (see sortSTR) —
-// the packing order bulk loads use. The streaming ingest drain sorts each
-// insert batch with it so consecutive one-at-a-time inserts stay spatially
-// clustered and leaf splits remain coherent.
-func SortSTR(entries []data.Entry, fanout int) { sortSTR(entries, fanout) }
+// axisKey is one entry's coordinate on an STR sort axis and the entry's
+// position in the slice being sorted. cmpAxisKey compares with < alone,
+// as the sort.Slice less function did (cmp.Compare would order NaNs).
+type axisKey struct {
+	key float64
+	idx int
+}
+
+func cmpAxisKey(a, b axisKey) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	}
+	return 0
+}
+
+// sortAxis orders es by coordinate d. It sorts (key, index) pairs with
+// the pdqsort sort.Slice runs, so the resulting permutation, ties
+// included, is the one sorting es directly gave; the pairs are half the
+// size of an entry and need no reflective swapper. keys and tmp are
+// scratch of at least len(es).
+func sortAxis(es []data.Entry, d int, keys []axisKey, tmp []data.Entry) {
+	keys = keys[:len(es)]
+	for i := range es {
+		keys[i] = axisKey{es[i].Pos[d], i}
+	}
+	slices.SortFunc(keys, cmpAxisKey)
+	for i, k := range keys {
+		tmp[i] = es[k.idx]
+	}
+	copy(es, tmp[:len(es)])
+}
 
 // sortSTR arranges entries in Sort-Tile-Recursive order for 3 dimensions:
 // sort by x, cut into vertical slabs, sort each slab by y, cut into runs,
 // sort each run by t. Consecutive groups of fanout entries then form
-// spatially coherent leaves.
+// spatially coherent leaves. Slabs are disjoint, so they sort in
+// parallel, each in its own stretch of the scratch buffers.
 func sortSTR(entries []data.Entry, fanout int) {
 	n := len(entries)
 	leaves := (n + fanout - 1) / fanout
@@ -79,34 +127,23 @@ func sortSTR(entries []data.Entry, fanout int) {
 	if s < 1 {
 		s = 1
 	}
-
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Pos[0] < entries[j].Pos[0] })
-	slabSize := (n + s - 1) / s * 1 // entries per x-slab before y-split
-	// Each x-slab should contain about s*s leaves worth of entries.
-	slabSize = s * s * fanout
-	if slabSize < 1 {
-		slabSize = 1
-	}
-	for lo := 0; lo < n; lo += slabSize {
-		hi := lo + slabSize
-		if hi > n {
-			hi = n
-		}
-		slab := entries[lo:hi]
-		sort.Slice(slab, func(i, j int) bool { return slab[i].Pos[1] < slab[j].Pos[1] })
-		runSize := s * fanout
-		if runSize < 1 {
-			runSize = 1
-		}
+	keys := make([]axisKey, n)
+	tmp := make([]data.Entry, n)
+	sortAxis(entries, 0, keys, tmp)
+	// Each x-slab holds about s*s leaves worth of entries, and each
+	// y-run within it about s leaves.
+	slabSize := s * s * fanout
+	runSize := s * fanout
+	par.For((n+slabSize-1)/slabSize, func(i int) {
+		lo := i * slabSize
+		hi := min(lo+slabSize, n)
+		slab, sk, st := entries[lo:hi], keys[lo:hi], tmp[lo:hi]
+		sortAxis(slab, 1, sk, st)
 		for rlo := 0; rlo < len(slab); rlo += runSize {
-			rhi := rlo + runSize
-			if rhi > len(slab) {
-				rhi = len(slab)
-			}
-			run := slab[rlo:rhi]
-			sort.Slice(run, func(i, j int) bool { return run[i].Pos[2] < run[j].Pos[2] })
+			rhi := min(rlo+runSize, len(slab))
+			sortAxis(slab[rlo:rhi], 2, sk[rlo:rhi], st[rlo:rhi])
 		}
-	}
+	})
 }
 
 // packLeaves groups consecutive sorted entries into full leaves.

@@ -165,6 +165,10 @@ type Tree struct {
 	version  uint64
 	quant    *hilbert.Quantizer
 	minFill  int
+	// sortBuf is sortByKey's scratch on the insert path (InsertBatch and
+	// leaf splits), kept so the drain does not allocate it per batch;
+	// mutations are serialized, so one buffer suffices.
+	sortBuf []keyedEntry
 }
 
 // New returns an empty tree with the given configuration.
@@ -242,6 +246,17 @@ func (t *Tree) Charge(n *Node) { t.cfg.Device.Access(n.page) }
 // Device returns the accountant the tree charges page accesses to. Samplers
 // use it as the default target when no per-query accountant is attached.
 func (t *Tree) Device() iosim.Accountant { return t.cfg.Device }
+
+// SetDevice points the tree's page charges at a. Index builds charge a
+// private iosim.Log and re-point the finished tree at the shared device
+// once the log is replayed. Must be serialized against all other use of
+// the tree.
+func (t *Tree) SetDevice(a iosim.Accountant) {
+	if a == nil {
+		a = iosim.Discard
+	}
+	t.cfg.Device = a
+}
 
 // chargeWrite accounts a page write for n.
 func (t *Tree) chargeWrite(n *Node) { t.cfg.Device.Write(n.page) }
